@@ -7,8 +7,11 @@ key agreement, Fig. 7 step ①), a SHA-3-based DRBG over the simulated
 TRNG, a small certificate format for the SM's PKI, and an AEAD built
 from SHAKE for the attested secure channel.
 
-These implementations favour clarity over speed; they are validated
-against published test vectors in ``tests/crypto``.
+The hash functions are a from-scratch reference with a stdlib fast
+path: SHA-3, SHAKE and SHA-512 run on ``hashlib``, while the readable
+Keccak-f[1600] sponge and FIPS 180-4 SHA-512 serve as the reference
+that ``tests/crypto`` checks them against.  Everything is validated
+against published test vectors there.
 """
 
 from repro.crypto.sha3 import (

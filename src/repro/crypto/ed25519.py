@@ -5,20 +5,25 @@ an attestation via this signing key", §VI-C); the Keystone
 implementation of Sanctorum concepts uses Ed25519, so we do too.  This
 is a straightforward, readable RFC 8032 implementation over the
 twisted Edwards curve edwards25519, using extended homogeneous
-coordinates for group arithmetic.  RFC 8032 requires SHA-512, so a
-self-contained FIPS 180-4 SHA-512 lives at the top of this module to
-keep the package dependency-free.
+coordinates for group arithmetic.  RFC 8032 requires SHA-512: the
+runtime path uses the standard library's ``hashlib.sha512``, and a
+from-scratch FIPS 180-4 SHA-512 at the top of this module is kept as
+its reference.
 
 Validated against RFC 8032 test vectors in
-``tests/crypto/test_ed25519.py``.
+``tests/crypto/test_ed25519.py``, which also checks the two SHA-512s
+against each other.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.errors import CryptoError
 
 # --------------------------------------------------------------------------
-# SHA-512 (FIPS 180-4), needed by RFC 8032.  Small and self-contained.
+# SHA-512 (FIPS 180-4), needed by RFC 8032: stdlib fast path, and a small
+# self-contained reference that only the tests call.
 # --------------------------------------------------------------------------
 
 _SHA512_K = (
@@ -53,6 +58,11 @@ def _rotr64(x: int, n: int) -> int:
 
 def sha512(message: bytes) -> bytes:
     """One-shot SHA-512 (FIPS 180-4)."""
+    return hashlib.sha512(message).digest()
+
+
+def reference_sha512(message: bytes) -> bytes:
+    """One-shot SHA-512 (FIPS 180-4), from scratch: the reference for :func:`sha512`."""
     h = [
         0x6A09E667F3BCC908, 0xBB67AE8584CAA73B, 0x3C6EF372FE94F82B, 0xA54FF53A5F1D36F1,
         0x510E527FADE682D1, 0x9B05688C2B3E6C1F, 0x1F83D9ABFB41BD6B, 0x5BE0CD19137E2179,

@@ -1,16 +1,21 @@
-"""SHA-3 / SHAKE implemented from scratch (FIPS 202).
+"""SHA-3 / SHAKE (FIPS 202): stdlib fast path, from-scratch reference.
 
 Sanctorum measures enclaves "via a sha3 cryptographic hash computed for
-each enclave as part of initialization" (§VI-A), citing tiny_sha3.  This
-module is a faithful from-scratch implementation of Keccak-f[1600] and
-the FIPS 202 instances built on it, in the same spirit as tiny_sha3:
-one small, readable file.
+each enclave as part of initialization" (§VI-A), citing tiny_sha3.  The
+hash objects here run on the standard library's ``hashlib``, which has
+provided every SHA-3 and SHAKE instance since Python 3.6.
 
-Validated against the FIPS 202 / NIST CAVP test vectors in
-``tests/crypto/test_sha3.py``.
+The from-scratch Keccak-f[1600] and :class:`ReferenceSponge` below, in
+the spirit of tiny_sha3 (one small, readable file), are the reference
+implementation.  Nothing at runtime calls them; ``tests/crypto/
+test_sha3.py`` checks both them and the fast path against the FIPS 202
+vectors and against each other.
 """
 
 from __future__ import annotations
+
+import copy
+import hashlib
 
 _MASK64 = (1 << 64) - 1
 
@@ -76,8 +81,8 @@ def keccak_f1600(state: list[int]) -> list[int]:
     return a
 
 
-class _KeccakSponge:
-    """Sponge construction over Keccak-f[1600] (byte-oriented)."""
+class ReferenceSponge:
+    """Sponge construction over Keccak-f[1600] (byte-oriented reference)."""
 
     def __init__(self, rate_bytes: int, domain_suffix: int) -> None:
         self._rate = rate_bytes
@@ -130,16 +135,49 @@ class _KeccakSponge:
         return bytes(out)
 
 
+class _KeccakSponge:
+    """A FIPS 202 sponge on a ``hashlib`` object, with the contract of
+    :class:`ReferenceSponge`: output is one stream that successive
+    squeezes continue, and absorbing ends when squeezing begins.
+
+    Every byte the hash objects hash passes through :meth:`absorb`,
+    which is where ``perfbench`` counts ``crypto.sha3_bytes``.
+    """
+
+    def __init__(self, hasher) -> None:
+        self._hash = hasher
+        #: Bytes squeezed so far; ``None`` while absorbing.
+        self._squeezed: int | None = None
+
+    def absorb(self, data: bytes) -> None:
+        if self._squeezed is not None:
+            raise ValueError("cannot absorb after squeezing has begun")
+        self._hash.update(data)
+
+    def squeeze(self, n: int) -> bytes:
+        start = self._squeezed or 0
+        self._squeezed = start + n
+        if self._hash.digest_size:  # SHA-3: one fixed-length output
+            return self._hash.digest()[start : start + n]
+        # SHAKE: hashlib recomputes the stream from its start.
+        return self._hash.digest(start + n)[start:]
+
+    def __deepcopy__(self, memo: dict) -> _KeccakSponge:
+        # hashlib objects cannot be deep-copied, only ``copy()``-ed.
+        clone = copy.copy(self)
+        clone._hash = self._hash.copy()
+        return clone
+
+
 class _Sha3Digest:
     """Incremental SHA-3 hash object (hashlib-like interface)."""
 
-    #: Subclasses set these.
+    #: Subclasses set these; ``name`` is the ``hashlib`` name.
     digest_size: int = 0
-    _rate_bytes: int = 0
     name: str = "sha3"
 
     def __init__(self, data: bytes = b"") -> None:
-        self._sponge = _KeccakSponge(self._rate_bytes, 0x06)
+        self._sponge = _KeccakSponge(hashlib.new(self.name))
         self._done: bytes | None = None
         if data:
             self.update(data)
@@ -164,7 +202,6 @@ class SHA3_256(_Sha3Digest):
     """Incremental SHA3-256 (FIPS 202, capacity 512 bits)."""
 
     digest_size = 32
-    _rate_bytes = 136
     name = "sha3_256"
 
 
@@ -172,7 +209,6 @@ class SHA3_384(_Sha3Digest):
     """Incremental SHA3-384 (FIPS 202, capacity 768 bits)."""
 
     digest_size = 48
-    _rate_bytes = 104
     name = "sha3_384"
 
 
@@ -180,18 +216,17 @@ class SHA3_512(_Sha3Digest):
     """Incremental SHA3-512 (FIPS 202, capacity 1024 bits)."""
 
     digest_size = 64
-    _rate_bytes = 72
     name = "sha3_512"
 
 
 class _Shake:
     """Incremental SHAKE extendable-output function."""
 
-    _rate_bytes: int = 0
+    #: Subclasses set the ``hashlib`` name.
     name: str = "shake"
 
     def __init__(self, data: bytes = b"") -> None:
-        self._sponge = _KeccakSponge(self._rate_bytes, 0x1F)
+        self._sponge = _KeccakSponge(hashlib.new(self.name))
         if data:
             self._sponge.absorb(bytes(data))
 
@@ -206,15 +241,13 @@ class _Shake:
 class SHAKE128(_Shake):
     """SHAKE128 XOF (rate 168 bytes)."""
 
-    _rate_bytes = 168
-    name = "shake128"
+    name = "shake_128"
 
 
 class SHAKE256(_Shake):
     """SHAKE256 XOF (rate 136 bytes)."""
 
-    _rate_bytes = 136
-    name = "shake256"
+    name = "shake_256"
 
 
 def sha3_256(data: bytes) -> bytes:

@@ -34,6 +34,12 @@ from repro.sm.attestation import AttestationReport
 from repro.util.rng import DeterministicTRNG
 
 
+#: Seconds the process backend waits for the workers: for each boot,
+#: and for the whole service window.  A worker that has not answered by
+#: then fails the run instead of hanging it.
+WORKER_DEADLINE_S = 600.0
+
+
 class FleetError(RuntimeError):
     """A fleet run failed outside the simulated machines."""
 
@@ -224,6 +230,10 @@ def _run_processes(spec: FleetSpec, jobs_per_machine: list[list[dict]]):
 
         ready = [None] * spec.n_machines
         for index, conn in enumerate(parents):
+            if not conn.poll(WORKER_DEADLINE_S):
+                raise FleetError(
+                    f"machine {index} did not boot within {WORKER_DEADLINE_S:g} s"
+                )
             kind, payload = conn.recv()
             if kind == "error":
                 raise FleetError(
@@ -234,6 +244,7 @@ def _run_processes(spec: FleetSpec, jobs_per_machine: list[list[dict]]):
 
         # Service window: dispatch everything, then drain all pipes.
         t_start = time.perf_counter()
+        deadline = t_start + WORKER_DEADLINE_S
         expected = 0
         for conn, jobs in zip(parents, jobs_per_machine):
             for job in jobs:
@@ -246,7 +257,15 @@ def _run_processes(spec: FleetSpec, jobs_per_machine: list[list[dict]]):
         wall = None
         while pending:
             live = [parents[i] for i in sorted(pending)]
-            for conn in multiprocessing.connection.wait(live, timeout=600):
+            remaining = deadline - time.perf_counter()
+            ready_conns = multiprocessing.connection.wait(live, timeout=max(remaining, 0))
+            if not ready_conns and time.perf_counter() >= deadline:
+                raise FleetError(
+                    f"service window exceeded {WORKER_DEADLINE_S:g} s: machines "
+                    f"{sorted(pending)} stalled with {expected - len(results)} "
+                    f"of {expected} results outstanding"
+                )
+            for conn in ready_conns:
                 index = parents.index(conn)
                 try:
                     kind, payload = conn.recv()

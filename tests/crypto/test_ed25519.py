@@ -1,6 +1,7 @@
 """Ed25519 (and its internal SHA-512): RFC 8032 vectors and properties."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from repro.crypto.ed25519 import (
     ed25519_public_key,
     ed25519_sign,
     ed25519_verify,
+    reference_sha512,
     sha512,
 )
 from repro.errors import CryptoError
@@ -50,10 +52,25 @@ def test_rfc8032_vectors(secret, public, message, signature):
     assert ed25519_verify(bytes.fromhex(public), message_bytes, bytes.fromhex(signature))
 
 
-def test_sha512_matches_hashlib():
-    for length in [0, 1, 55, 56, 63, 64, 65, 111, 112, 119, 128, 300]:
-        message = bytes(i % 251 for i in range(length))
-        assert sha512(message) == hashlib.sha512(message).digest()
+SHA512_ABC = (
+    "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a"
+    "2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f"
+)
+
+
+@pytest.mark.parametrize("impl", [sha512, reference_sha512], ids=["fast", "reference"])
+def test_sha512_fips180_known_answer(impl):
+    assert impl(b"abc").hex() == SHA512_ABC
+
+
+def test_sha512_reference_matches_fast_path():
+    lengths = [0, 1, 55, 56, 63, 64, 65, 111, 112, 113, 119, 127, 128, 129, 239, 240, 300]
+    rng = random.Random(1804)
+    # Random lengths around the 112-byte padding limit and the 128-byte block.
+    lengths += [rng.randrange(100, 3 * 128 + 20) for _ in range(40)]
+    for length in lengths:
+        message = rng.randbytes(length)
+        assert reference_sha512(message) == sha512(message) == hashlib.sha512(message).digest()
 
 
 @given(st.binary(min_size=32, max_size=32), st.binary(max_size=100))

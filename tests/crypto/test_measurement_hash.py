@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import build_sanctum_system
 from repro.crypto.hashing import MeasurementHash
+from repro.errors import ApiResult
+from repro.hw.core import DOMAIN_UNTRUSTED
+from repro.sm.compartments import _Checkpoint
+from repro.sm.measurement import EnclaveMeasurement
 
 
 def _value(ops):
@@ -87,3 +92,20 @@ def test_distinct_op_lists_distinct_hashes(ops):
     full = _value([(tag, tuple(fields)) for tag, fields in ops])
     truncated = _value([(tag, tuple(fields)) for tag, fields in ops[:-1]])
     assert full != truncated
+
+
+def test_in_flight_measurement_survives_checkpoint_deep_copy():
+    # The compartment guard deep-copies enclaves mid-load, hash state
+    # included; the copy must finalize as if nothing else happened.
+    system = build_sanctum_system()
+    sm = system.sm
+    eid = sm.state.suggest_metadata(4096)
+    assert sm.create_enclave(DOMAIN_UNTRUSTED, eid, 0x40000000, 0x100000, 1) is ApiResult.OK
+    checkpoint = _Checkpoint(sm)
+    live = sm.state.enclaves[eid].measurement_accumulator
+    live.extend_page_table(0x40000000, 1)
+    expected = EnclaveMeasurement(sm.state.sm_measurement, sm.state.platform_name)
+    expected.extend_create(0x40000000, 0x100000, 1)
+    saved = checkpoint.enclaves[eid].measurement_accumulator
+    assert saved.operation_count == expected.operation_count == live.operation_count - 1
+    assert saved.finalize() == expected.finalize() != live.finalize()

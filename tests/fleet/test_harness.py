@@ -1,8 +1,12 @@
 """The fleet harness end to end: serve, verify, stay deterministic."""
 
+import multiprocessing
+import time
+
 import pytest
 
-from repro.fleet import FleetSpec, run_fleet
+from repro.fleet import FleetSpec, harness, run_fleet
+from repro.fleet.harness import FleetError
 from repro.fleet.bench import run_fleet_bench
 
 
@@ -97,3 +101,38 @@ def test_fleet_bench_shape(tmp_path):
     assert data["counts"][0]["replay_rejected"] is None  # single machine
     assert data["counts"][1]["replay_rejected"] is True
     assert data["scaling_1_to_max"] > 0
+
+
+def _stalling_worker(conn, spec):
+    """Reports ready at once; machine 0 then signs off, the rest never answer."""
+    conn.send(("ready", {}))
+    while conn.recv()[0] != "done":
+        pass
+    if spec["index"] == 0:
+        conn.send(("summary", {}))
+    else:
+        time.sleep(120)
+
+
+def _silent_worker(conn, spec):
+    """Never reports ready."""
+    time.sleep(120)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched worker reaches the child only through fork",
+)
+@pytest.mark.parametrize("worker,message", [
+    (_stalling_worker, r"machines \[1, 2\] stalled with 3 of 3 results outstanding"),
+    (_silent_worker, r"machine 0 did not boot within 0.5 s"),
+])
+def test_stalled_worker_fails_within_the_deadline(monkeypatch, worker, message):
+    monkeypatch.setattr(harness, "worker_main", worker)
+    monkeypatch.setattr(harness, "WORKER_DEADLINE_S", 0.5)
+    spec = FleetSpec(n_machines=3, clients=3, channel_updates=0,
+                     local_attest_every=0, mode="process")
+    started = time.perf_counter()
+    with pytest.raises(FleetError, match=message):
+        run_fleet(spec)
+    assert time.perf_counter() - started < 30
