@@ -24,6 +24,7 @@ import dataclasses
 
 from repro.hw.cache import Cache
 from repro.hw.isa import INSTRUCTION_SIZE, NUM_REGS, Opcode, decode
+from repro.hw.memory import PAGE_SHIFT
 from repro.hw.paging import AccessType, PageFault, PageTableWalker, Translation
 from repro.hw.pmp import PmpPerm, PmpUnit, Privilege
 from repro.hw.tlb import Tlb
@@ -62,27 +63,47 @@ _ACCESS_TO_PERM_BIT = {
 }
 
 
+#: Instructions occupy 8-byte-aligned slots; a write invalidates exactly
+#: the cached slots it overlaps.
+_SLOT_MASK = ~(INSTRUCTION_SIZE - 1)
+#: Writes spanning at most this many bytes of slots are checked slot by
+#: slot (one dict lookup each); larger ones (page loads, region scrubs)
+#: walk the per-page index instead.
+_SLOT_WALK_BYTES = 16 * INSTRUCTION_SIZE
+
+
+def _indexed_pages(pages: dict, base: int, end: int) -> list[int]:
+    """Page numbers in ``pages`` that intersect ``[base, end)``."""
+    first, last = base >> PAGE_SHIFT, (end - 1) >> PAGE_SHIFT
+    if last - first >= len(pages):
+        return [ppn for ppn in pages if first <= ppn <= last]
+    return [ppn for ppn in range(first, last + 1) if ppn in pages]
+
+
 class DecodeCache:
-    """Decoded-instruction cache keyed by physical address.
+    """Decoded-instruction cache keyed by instruction slot.
 
     The interpreter's hot path is fetch → decode: without this cache
     every step re-reads 8 bytes from DRAM frames and re-constructs an
     :class:`~repro.hw.isa.Instruction` (enum conversion + validated
-    dataclass), which dominates host time.  Decoded instructions are a
-    pure function of memory bytes, so caching them by physical address
-    is architecturally invisible — simulated cycle counts never change.
+    dataclass), which dominates host time.  A decoded instruction is a
+    pure function of the 8 bytes in its slot (its 8-byte-aligned
+    physical address), so caching it by slot is architecturally
+    invisible — simulated cycle counts never change.  Every fetch still
+    translates and passes the isolation check before the lookup.
 
     Invalidation rules (see docs/SIMULATOR.md):
 
-    * any write to a physical page holding cached entries (core stores,
-      SM page loads/scrubs, DMA) drops that page's entries;
-    * an L1 flush (SM core clean) drops everything on that core, and an
-      L1 domain flush drops the flushed domain's entries;
+    * any write overlapping a cached slot (core stores, SM page
+      loads/scrubs, DMA) drops that entry, and only that entry;
     * DRAM-region reassignment and cleaning drop the region's range on
-      every core.
+      every core;
+    * ``fence`` and domain teardown drop one domain's entries.
 
-    Entries are tagged with the protection domain that fetched them so
-    domain flushes can be selective.
+    The SM's core clean leaves the cache alone: no entry depends on
+    registers, L1, TLB or the protection domain.  Entries are tagged
+    with the domain that fetched them so domain flushes can be
+    selective.
     """
 
     __slots__ = (
@@ -96,20 +117,17 @@ class DecodeCache:
     )
 
     def __init__(self) -> None:
-        #: paddr -> (decoded instruction, fetching domain)
+        #: slot paddr -> (decoded instruction, fetching domain)
         self.entries: dict[int, tuple["Instruction", int]] = {}  # noqa: F821
-        #: physical page number -> set of cached paddrs on that page.
+        #: physical page number -> set of cached slots on that page.
         self.pages: dict[int, set[int]] = {}
         self.hits = 0
         self.misses = 0
-        #: High-water mark of resident entries.  The live count is
-        #: flushed with the core on every domain switch, so end-of-run
-        #: snapshots read 0 — this is the number benches report.
+        #: High-water mark of resident entries.
         self.peak_entries = 0
         #: Invalidation *causes* that dropped at least one entry (one
-        #: write/flush/reassignment event each), and the total entries
-        #: those events removed.  Two counters with two units, replacing
-        #: the old ``invalidations`` counter that mixed them.
+        #: write/reassignment/fence event each), and the total entries
+        #: those events removed.
         self.invalidation_events = 0
         self.entries_dropped = 0
 
@@ -130,64 +148,47 @@ class DecodeCache:
     def insert(self, paddr: int, instruction, domain: int) -> None:
         """Cache one decoded instruction."""
         self.entries[paddr] = (instruction, domain)
-        self.pages.setdefault(paddr >> 12, set()).add(paddr)
+        self.pages.setdefault(paddr >> PAGE_SHIFT, set()).add(paddr)
         if len(self.entries) > self.peak_entries:
             self.peak_entries = len(self.entries)
 
-    def _drop_page(self, ppn: int) -> int:
-        """Remove one page's entries; returns how many were dropped."""
-        paddrs = self.pages.pop(ppn, None)
-        if not paddrs:
-            return 0
-        for paddr in paddrs:
-            del self.entries[paddr]
-        return len(paddrs)
-
-    def invalidate_page(self, ppn: int) -> None:
-        """Drop every entry on one physical page (a write landed there)."""
-        dropped = self._drop_page(ppn)
-        if dropped:
-            self.invalidation_events += 1
-            self.entries_dropped += dropped
-
-    def invalidate_range(self, base: int, size: int) -> None:
-        """Drop entries in a physical interval (region reassignment)."""
-        if not self.pages:
+    def _drop(self, stale) -> None:
+        """Remove the given slots; one invalidation event if any."""
+        if not stale:
             return
-        first, last = base >> 12, (base + size - 1) >> 12
-        if last - first > len(self.pages):
-            stale = [ppn for ppn in self.pages if first <= ppn <= last]
-        else:
-            stale = [ppn for ppn in range(first, last + 1) if ppn in self.pages]
-        dropped = 0
-        for ppn in stale:
-            dropped += self._drop_page(ppn)
-        if dropped:
-            self.invalidation_events += 1
-            self.entries_dropped += dropped
+        entries = self.entries
+        pages = self.pages
+        for slot in stale:
+            del entries[slot]
+            page = pages[slot >> PAGE_SHIFT]
+            page.discard(slot)
+            if not page:
+                del pages[slot >> PAGE_SHIFT]
+        self.invalidation_events += 1
+        self.entries_dropped += len(stale)
 
-    def flush(self) -> None:
-        """Drop everything (the SM's core clean)."""
-        if self.entries:
-            self.entries_dropped += len(self.entries)
-            self.invalidation_events += 1
-            self.entries.clear()
-            self.pages.clear()
+    def invalidate(self, base: int, size: int) -> None:
+        """Drop the entries whose slot overlaps ``[base, base + size)``."""
+        entries = self.entries
+        if not entries:
+            return
+        first = base & _SLOT_MASK
+        end = base + size
+        if end - first <= _SLOT_WALK_BYTES:
+            stale = [slot for slot in range(first, end, INSTRUCTION_SIZE) if slot in entries]
+        else:
+            pages = self.pages
+            stale = [
+                slot
+                for ppn in _indexed_pages(pages, base, end)
+                for slot in pages[ppn]
+                if first <= slot < end
+            ]
+        self._drop(stale)
 
     def flush_domain(self, domain: int) -> None:
         """Drop all entries fetched by one protection domain."""
-        stale = [p for p, (_, d) in self.entries.items() if d == domain]
-        if not stale:
-            return
-        for paddr in stale:
-            del self.entries[paddr]
-            page = self.pages.get(paddr >> 12)
-            if page is not None:
-                page.discard(paddr)
-                if not page:
-                    del self.pages[paddr >> 12]
-        self.invalidation_events += 1
-        self.entries_dropped += len(stale)
+        self._drop([p for p, (_, d) in self.entries.items() if d == domain])
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -212,7 +213,8 @@ _TRACE_MAX_LEN = 64
 #: Traces shorter than this are not worth the dispatch they save.
 _TRACE_MIN_LEN = 2
 #: Cap on the hotness-counter table (cleared wholesale when exceeded).
-_TRACE_HEAT_LIMIT = 8192
+#: The table outlives core cleans and every enclave brings new keys.
+_TRACE_HEAT_LIMIT = 1024
 
 #: Control transfers that may *end* a superblock (they redirect pc but
 #: cannot trap, so they are safe to execute inside a trace).
@@ -281,19 +283,19 @@ class Trace:
         "domain",
         "uops",
         "length",
-        "ppns",
+        "slots",
         "paging",
         "evrange",
         "page_checks",
     )
 
-    def __init__(self, head, domain, uops, ppns, paging, evrange, page_checks):
+    def __init__(self, head, domain, uops, slots, paging, evrange, page_checks):
         self.head = head
         self.domain = domain
         self.uops = tuple(uops)
         self.length = len(self.uops)
-        #: Physical pages the trace's code spans (registration keys).
-        self.ppns = tuple(ppns)
+        #: Physical instruction slot of each uop (invalidation keys).
+        self.slots = tuple(slots)
         self.paging = paging
         self.evrange = evrange
         #: Per spanned page: (memo_key, expected_paddr_base, probe_paddr).
@@ -310,17 +312,22 @@ class TraceCache:
     from *physical* bytes via the translation memo, so they are valid
     only while every spanned page still translates to the same frames
     with execute permission — revalidated on entry and guarded
-    per-micro-op via the TLB generation and this cache's ``epoch``.
+    per-micro-op via the TLB generation and this cache's ``epoch``.  A
+    trace whose paging mode, ``evrange`` or page bases no longer match
+    on entry (a reused eid, relocated code) is dropped so its key can be
+    rebuilt.
 
-    Invalidation mirrors the decode cache (any write to a spanned page,
-    DRAM-region reassignment, SM core clean, FENCE/domain flush), with
-    ``epoch`` bumped whenever live traces are dropped so in-flight
-    traces abort at their next guard.
+    Invalidation mirrors the decode cache (a write overlapping one of a
+    trace's instruction slots, DRAM-region reassignment, FENCE/domain
+    flush; never the SM's core clean), with ``epoch`` bumped whenever
+    live traces are dropped so in-flight traces abort at their next
+    guard.
     """
 
     __slots__ = (
         "entries",
         "failed",
+        "slots",
         "pages",
         "epoch",
         "built",
@@ -335,10 +342,13 @@ class TraceCache:
     def __init__(self) -> None:
         #: (domain, head vaddr) -> Trace
         self.entries: dict[tuple[int, int], Trace] = {}
-        #: Heads known untraceable (e.g. an ECALL at the head): skip the
-        #: hotness accounting for them entirely.
-        self.failed: set[tuple[int, int]] = set()
-        #: physical page number -> set of trace keys spanning that page.
+        #: Heads known untraceable (e.g. an ECALL at the head) -> the
+        #: physical slot that made them so.  Skips the hotness
+        #: accounting until that slot is written or the head moves.
+        self.failed: dict[tuple[int, int], int] = {}
+        #: slot paddr -> keys of traces covering it and failed heads at it.
+        self.slots: dict[int, set[tuple[int, int]]] = {}
+        #: physical page number -> keys with a slot on that page.
         self.pages: dict[int, set[tuple[int, int]]] = {}
         #: Bumped whenever live traces are dropped; guards compare it.
         self.epoch = 0
@@ -351,80 +361,89 @@ class TraceCache:
         self.invalidation_events = 0
         self.entries_dropped = 0
 
+    def _spans(self, key: tuple[int, int]) -> tuple[int, ...]:
+        trace = self.entries.get(key)
+        return trace.slots if trace is not None else (self.failed[key],)
+
+    def _buckets(self, spans):
+        """(index, bucket key) pairs a key with these slots lives in."""
+        for slot in spans:
+            yield self.slots, slot
+        for ppn in {slot >> PAGE_SHIFT for slot in spans}:
+            yield self.pages, ppn
+
+    def _index(self, key: tuple[int, int], spans) -> None:
+        for index, bucket_key in self._buckets(spans):
+            index.setdefault(bucket_key, set()).add(key)
+
+    def _unindex(self, key: tuple[int, int], spans) -> None:
+        for index, bucket_key in self._buckets(spans):
+            bucket = index.get(bucket_key)
+            if bucket is not None:
+                bucket.discard(key)
+                if not bucket:
+                    del index[bucket_key]
+
     def register(self, key: tuple[int, int], trace: Trace) -> None:
         self.entries[key] = trace
-        for ppn in trace.ppns:
-            self.pages.setdefault(ppn, set()).add(key)
+        self._index(key, trace.slots)
         self.built += 1
         if len(self.entries) > self.peak_traces:
             self.peak_traces = len(self.entries)
 
-    def _drop(self, key: tuple[int, int]) -> bool:
-        trace = self.entries.pop(key, None)
-        if trace is None:
-            return False
-        for ppn in trace.ppns:
-            bucket = self.pages.get(ppn)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self.pages[ppn]
-        return True
+    def mark_failed(self, key: tuple[int, int], head_slot: int) -> None:
+        """Blacklist an untraceable head until its slot changes."""
+        self.failed[key] = head_slot
+        self._index(key, (head_slot,))
 
-    def invalidate_page(self, ppn: int) -> None:
-        """Drop every trace spanning one physical page."""
-        keys = self.pages.get(ppn)
-        if not keys:
-            return
+    def discard(self, keys) -> None:
+        """Drop traces and blacklist entries by key (one event if any
+        live trace went)."""
         dropped = 0
-        for key in list(keys):
-            if self._drop(key):
+        for key in keys:
+            trace = self.entries.pop(key, None)
+            if trace is not None:
+                self._unindex(key, trace.slots)
                 dropped += 1
+            else:
+                head = self.failed.pop(key, None)
+                if head is not None:
+                    self._unindex(key, (head,))
         if dropped:
             self.invalidation_events += 1
             self.entries_dropped += dropped
             self.epoch += 1
 
-    def invalidate_range(self, base: int, size: int) -> None:
-        """Drop traces spanning a physical interval."""
-        if not self.pages:
+    def invalidate(self, base: int, size: int) -> None:
+        """Drop every trace and blacklist entry with a slot overlapping
+        ``[base, base + size)``."""
+        slots = self.slots
+        if not slots:
             return
-        first, last = base >> 12, (base + size - 1) >> 12
-        if last - first > len(self.pages):
-            stale = [ppn for ppn in self.pages if first <= ppn <= last]
+        first = base & _SLOT_MASK
+        end = base + size
+        if end - first <= _SLOT_WALK_BYTES:
+            stale = {
+                key
+                for slot in range(first, end, INSTRUCTION_SIZE)
+                for key in slots.get(slot, ())
+            }
         else:
-            stale = [ppn for ppn in range(first, last + 1) if ppn in self.pages]
-        dropped = 0
-        for ppn in stale:
-            for key in list(self.pages.get(ppn, ())):
-                if self._drop(key):
-                    dropped += 1
-        if dropped:
-            self.invalidation_events += 1
-            self.entries_dropped += dropped
-            self.epoch += 1
-
-    def flush(self) -> None:
-        """Drop everything (the SM's core clean)."""
-        if self.entries:
-            self.entries_dropped += len(self.entries)
-            self.invalidation_events += 1
-            self.epoch += 1
-        self.entries.clear()
-        self.pages.clear()
-        self.failed.clear()
+            pages = self.pages
+            stale = {
+                key
+                for ppn in _indexed_pages(pages, base, end)
+                for key in pages[ppn]
+                if any(first <= slot < end for slot in self._spans(key))
+            }
+        self.discard(stale)
 
     def flush_domain(self, domain: int) -> None:
-        """Drop all traces compiled for one protection domain."""
-        stale = [key for key in self.entries if key[0] == domain]
-        for key in stale:
-            self._drop(key)
-        if self.failed:
-            self.failed = {key for key in self.failed if key[0] != domain}
-        if stale:
-            self.invalidation_events += 1
-            self.entries_dropped += len(stale)
-            self.epoch += 1
+        """Drop all traces and blacklist entries of one protection domain."""
+        self.discard(
+            [key for key in self.entries if key[0] == domain]
+            + [key for key in self.failed if key[0] == domain]
+        )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -451,7 +470,15 @@ class TranslationContext:
 
 
 class Core:
-    """One in-order, single-thread SVM-32 pipeline."""
+    """One in-order, single-thread SVM-32 pipeline.
+
+    Besides the architected state, each core carries host-speed
+    structures (decode cache, translation memo, trace cache and its
+    heat table).  Only the memo models hardware state — it rides the
+    TLB and goes with it on a core clean; the decode and trace caches
+    outlive cleans and are invalidated by the instruction slots that
+    writes overlap.
+    """
 
     #: Cycle cost charged per TLB-miss page-table level walked, on top
     #: of the cache cost of the PTE reads themselves.
@@ -524,13 +551,15 @@ class Core:
         §V-C: "Before delegating execution to the OS, SM cleans the
         core's state (this is a re-allocation of the 'core' resource to
         another protection domain)."
+
+        The translation memo goes with the TLB.  The host-side decode
+        and trace caches stay: they hold no register, cache or
+        translation state of their own, and every fetch and trace entry
+        re-checks translation and isolation.
         """
         self.regs = [0] * NUM_REGS
         self.l1.flush()
         self.tlb.flush_all()
-        self.decode_cache.flush()
-        self.trace_cache.flush()
-        self._trace_heat.clear()
         self._xlate_memo.clear()
         self._xlate_generation = -1
 
@@ -696,8 +725,13 @@ class Core:
         key = (self.domain, pc)
         trace = tcache.entries.get(key)
         if trace is None:
-            if key in tcache.failed:
-                return 0
+            failed_head = tcache.failed.get(key)
+            if failed_head is not None:
+                resolved = self._resolve_fetch(pc)
+                if resolved is None or resolved[0] == failed_head:
+                    return 0
+                # The head now maps to other code: forget the verdict.
+                tcache.discard((key,))
             heat = self._trace_heat
             count = heat.get(key, 0) + 1
             if count < _TRACE_HOT_THRESHOLD:
@@ -706,16 +740,21 @@ class Core:
                 heat[key] = count
                 return 0
             heat.pop(key, None)
-            trace, structural = self._build_trace(pc)
+            trace, untraceable_head = self._build_trace(pc)
             if trace is None:
-                if structural:
-                    tcache.failed.add(key)
+                if untraceable_head is not None:
+                    tcache.mark_failed(key, untraceable_head)
                 return 0
             tcache.register(key, trace)
         # Revalidate the compiled block against current translation and
-        # isolation state before running a single uop.
+        # isolation state before running a single uop.  A trace built
+        # under another paging mode, evrange or page mapping is stale
+        # for good (eids and vaddrs get reused): drop it so the key can
+        # be rebuilt.  A page not yet memoized or denied by isolation
+        # only means "not now".
         ctx = self.context
         if trace.paging != ctx.paging_enabled or trace.evrange != ctx.evrange:
+            tcache.discard((key,))
             return 0
         machine = self.machine
         if trace.paging:
@@ -724,7 +763,10 @@ class Core:
             memo = self._xlate_memo
             for memo_key, base, probe in trace.page_checks:
                 entry = memo.get(memo_key)
-                if entry is None or not entry[1] & _PERM_X or entry[0] != base:
+                if entry is None:
+                    return 0
+                if entry[0] != base or not entry[1] & _PERM_X:
+                    tcache.discard((key,))
                     return 0
                 if not machine.check_isolation(self, probe, AccessType.FETCH):
                     return 0
@@ -805,11 +847,12 @@ class Core:
     def _build_trace(self, head: int):
         """Compile a superblock starting at ``head``.
 
-        Returns (trace, structural): ``trace`` is None when compilation
-        failed; ``structural`` marks failures tied to the code itself
-        (untraceable opcode or undecodable bytes at the head) so the
-        head can be blacklisted, as opposed to transient translation
-        state that may memoize later.
+        Returns (trace, untraceable_head): ``trace`` is None when
+        compilation failed; ``untraceable_head`` is the head's physical
+        slot when the failure is tied to the code itself (untraceable
+        opcode or undecodable bytes at the head) so the head can be
+        blacklisted, and None for transient translation state that may
+        memoize later.
 
         The walk is pure: it only consults the translation memo (so a
         missing page just ends the trace), the isolation platform
@@ -821,12 +864,12 @@ class Core:
         memory = machine.memory
         paging = self.context.paging_enabled
         uops = []
+        slots = []
         seen_pages: set = set()
-        ppns = []
         page_checks = []
         vaddr = head
         guarded = False
-        structural = False
+        untraceable_head = None
         while len(uops) < _TRACE_MAX_LEN:
             resolved = self._resolve_fetch(vaddr)
             if resolved is None:
@@ -834,22 +877,21 @@ class Core:
             paddr, memo_key = resolved
             if not machine.check_isolation(self, paddr, AccessType.FETCH):
                 break
-            ppn = paddr >> 12
-            page_token = memo_key if paging else ppn
+            page_token = memo_key if paging else paddr >> PAGE_SHIFT
             if page_token not in seen_pages:
                 seen_pages.add(page_token)
-                ppns.append(ppn)
                 page_checks.append((memo_key, paddr & ~0xFFF, paddr))
             try:
                 ins = decode(memory.read(paddr, INSTRUCTION_SIZE))
             except ValueError:
-                structural = not uops
+                ins = None
+            if ins is None or ins.opcode in _TRACE_EXCLUDED:
+                if not uops:
+                    untraceable_head = paddr
                 break
             op = ins.opcode
-            if op in _TRACE_EXCLUDED:
-                structural = not uops
-                break
             index = len(uops)
+            slots.append(paddr)
             if op in _TRACE_TERMINALS:
                 uops.append(self._compile_terminal(ins, vaddr, paddr, guarded, index))
                 break
@@ -858,12 +900,9 @@ class Core:
             guarded = guarded or is_mem
             vaddr = (vaddr + INSTRUCTION_SIZE) & 0xFFFFFFFF
         if len(uops) < _TRACE_MIN_LEN:
-            return None, structural
+            return None, untraceable_head
         evrange = self.context.evrange
-        return (
-            Trace(head, self.domain, uops, sorted(set(ppns)), paging, evrange, page_checks),
-            False,
-        )
+        return Trace(head, self.domain, uops, slots, paging, evrange, page_checks), None
 
     def _compile_uop(self, ins, vaddr: int, paddr: int, guarded: bool, index: int):
         """Compile one non-terminal instruction into a micro-op closure.

@@ -28,7 +28,8 @@ from repro.hw.cache import PartitionedLlc
 from repro.hw.core import Core
 from repro.hw.dma import DmaFilter
 from repro.hw.interrupts import InterruptController
-from repro.hw.memory import PAGE_SHIFT, PhysicalMemory
+from repro.hw.isa import INSTRUCTION_SIZE
+from repro.hw.memory import PhysicalMemory
 from repro.hw.paging import AccessType
 from repro.hw.perf import PerfMonitor
 from repro.hw.traps import Trap
@@ -64,7 +65,9 @@ class MachineConfig:
     #: Host-speed fast path: decoded-instruction cache + translation
     #: memo.  Architecturally invisible (identical simulated cycles,
     #: measurements, and register state); disable to run the reference
-    #: interpreter path, e.g. for determinism regressions.
+    #: interpreter path, e.g. for determinism regressions.  The caches
+    #: survive the SM's core clean; a write drops only the cached
+    #: instructions (and traces) whose 8-byte slots it overlaps.
     decode_cache_enabled: bool = True
     #: Second fast-path stage: superblock/trace cache plus batched
     #: stepping (see docs/SIMULATOR.md).  Rides on the decode fast path
@@ -104,38 +107,36 @@ class Machine:
         #: instrumented hot paths pay only one ``enabled`` check.
         self.tracer = Tracer(clock=lambda: self.global_steps)
         # Keep the decode caches coherent with DRAM: any write (core
-        # store, SM page load/scrub, DMA) to a page holding cached
-        # decoded instructions drops that page's entries.
+        # store, SM page load/scrub, DMA) drops the decoded instructions
+        # and traces whose 8-byte instruction slots it overlaps.
         if self.config.decode_cache_enabled:
             self.memory.set_write_observer(self._on_memory_write)
 
     def _on_memory_write(self, paddr: int, length: int) -> None:
-        """Invalidate decoded instructions and traces on written pages."""
-        first = paddr >> PAGE_SHIFT
-        last = (paddr + length - 1) >> PAGE_SHIFT
+        """Invalidate decoded instructions and traces the write overlaps."""
+        slot = paddr & ~(INSTRUCTION_SIZE - 1)
+        if paddr + length > slot + INSTRUCTION_SIZE:
+            self.invalidate_decode_range(paddr, length)
+            return
+        # Inside one slot (every aligned core store): one lookup per
+        # cache per core, however much code shares the page.
         for core in self.cores:
-            pages = core.decode_cache.pages
-            if pages:
-                for ppn in range(first, last + 1):
-                    if ppn in pages:
-                        core.decode_cache.invalidate_page(ppn)
-            trace_pages = core.trace_cache.pages
-            if trace_pages:
-                for ppn in range(first, last + 1):
-                    if ppn in trace_pages:
-                        core.trace_cache.invalidate_page(ppn)
+            if slot in core.decode_cache.entries:
+                core.decode_cache.invalidate(paddr, length)
+            if slot in core.trace_cache.slots:
+                core.trace_cache.invalidate(paddr, length)
 
     def invalidate_decode_range(self, base: int, size: int) -> None:
-        """Drop decoded instructions and traces in a physical interval
-        on all cores.
+        """Drop decoded instructions and traces overlapping a physical
+        interval on all cores.
 
-        Called on DRAM-region reassignment and cleaning — the
-        page-reassignment invalidation rule of the decode and trace
-        caches.
+        Called for multi-slot writes and on DRAM-region reassignment
+        and cleaning — the page-reassignment invalidation rule of the
+        decode and trace caches.
         """
         for core in self.cores:
-            core.decode_cache.invalidate_range(base, size)
-            core.trace_cache.invalidate_range(base, size)
+            core.decode_cache.invalidate(base, size)
+            core.trace_cache.invalidate(base, size)
 
     # ------------------------------------------------------------------
     # Wiring

@@ -267,6 +267,9 @@ class OsKernel:
             self.machine.memory.write(staging, data)
             self._sm_ok(self.sm.load_page, eid, vaddr, next_paddr, staging, acl)
             next_paddr += PAGE_SIZE
+        # Scrubbing the whole frame drops it from the sparse DRAM model;
+        # otherwise every load would keep 4 KB of host memory for good.
+        self.machine.memory.zero_range(staging, PAGE_SIZE)
 
         tids = []
         for _ in range(1 + extra_threads):

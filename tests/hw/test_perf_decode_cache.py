@@ -111,12 +111,40 @@ patch:
     assert core.read_reg(Reg.A0) == 7, "decode cache served stale code"
 
 
-def test_core_clean_flushes_decode_cache():
+class _DenyDomain:
+    """Isolation platform that denies one domain every access to a page."""
+
+    def __init__(self, domain, ppn):
+        self.domain, self.ppn = domain, ppn
+
+    def check_access(self, core, paddr, access):
+        return not (core.domain == self.domain and paddr >> 12 == self.ppn)
+
+
+def test_core_clean_keeps_decoded_entries_but_fetch_still_checks_isolation():
+    """The decode cache survives the SM's core clean, yet a domain the
+    isolation hardware denies still traps on fetch: the lookup happens
+    only after translation and ``_checked_physical``."""
     machine = _machine()
+    machine.install_isolation(_DenyDomain(domain=0x5000, ppn=0x1))
     core = _run_at(machine, "li a0, 1\nhalt")
-    assert len(core.decode_cache) > 0
+    assert core.read_reg(Reg.A0) == 1
+    traps = []
+    machine.set_trap_handler(
+        lambda core, trap: (traps.append(trap.cause), setattr(core, "halted", True))
+    )
+    cached = len(core.decode_cache)
+    assert cached > 0
     core.clean_architectural_state()
-    assert len(core.decode_cache) == 0
+    assert len(core.decode_cache) == cached
+    core.domain = 0x5000
+    core.pc = 0x1000
+    core.halted = False
+    hits_before = core.decode_cache.hits
+    machine.run()
+    assert traps == [TrapCause.ACCESS_FAULT_FETCH]
+    assert core.read_reg(Reg.A0) == 0, "denied code executed after a core clean"
+    assert core.decode_cache.hits == hits_before
 
 
 def test_region_reassignment_invalidates_decode_range_on_all_cores():
@@ -312,25 +340,42 @@ def test_decode_cache_invalidation_counters_have_distinct_units():
     cache.insert(0x1008, "ins-b", domain=0)
     cache.insert(0x2000, "ins-c", domain=0)
     assert cache.peak_entries == 3
-    cache.invalidate_page(0x1)  # drops the two page-1 entries
+    cache.invalidate(0x1004, 8)  # overlaps both page-1 slots
     assert cache.invalidation_events == 1
     assert cache.entries_dropped == 2
-    cache.invalidate_page(0x7)  # empty page: no event, nothing dropped
+    cache.invalidate(0x1010, 0x100)  # no cached slot: no event
+    cache.invalidate(0x7000, 1)
     assert cache.invalidation_events == 1
     # A range spanning many pages is still ONE invalidation event.
     cache.insert(0x3000, "ins-d", domain=0)
     cache.insert(0x4000, "ins-e", domain=0)
-    cache.invalidate_range(0x2000, 0x3000)
+    cache.invalidate(0x2000, 0x3000)
     assert cache.invalidation_events == 2
     assert cache.entries_dropped == 5
-    cache.insert(0x5000, "ins-f", domain=0)
-    cache.flush()
+    cache.insert(0x5000, "ins-f", domain=7)
+    cache.insert(0x5008, "ins-g", domain=7)
+    cache.flush_domain(7)
     assert cache.invalidation_events == 3
-    assert cache.entries_dropped == 6
+    assert cache.entries_dropped == 7
     assert len(cache) == 0
-    assert cache.peak_entries == 3  # high-water mark survives the flush
+    assert cache.peak_entries == 3  # high-water mark survives the drops
     # Back-compat alias used by older tests and tooling.
     assert cache.invalidations == cache.invalidation_events
+
+
+def test_decode_cache_write_drops_exactly_the_overlapped_slots():
+    from repro.hw.core import DecodeCache
+
+    cache = DecodeCache()
+    for slot in range(0x1000, 0x1040, 8):
+        cache.insert(slot, f"ins-{slot:x}", domain=0)
+    cache.invalidate(0x1013, 1)  # one byte inside slot 0x1010
+    assert sorted(cache.entries) == [s for s in range(0x1000, 0x1040, 8) if s != 0x1010]
+    cache.invalidate(0x101E, 4)  # straddles slots 0x1018 and 0x1020
+    assert 0x1018 not in cache.entries and 0x1020 not in cache.entries
+    cache.invalidate(0x0F00, 0x104)  # large write ending inside slot 0x1000
+    assert 0x1000 not in cache.entries and 0x1008 in cache.entries
+    assert cache.entries_dropped == 4 and cache.invalidation_events == 3
 
 
 def test_perf_monitor_counts_traps_and_renders_report():

@@ -11,6 +11,7 @@ step budget cuts a trace mid-block.
 from repro.hw.asm import assemble
 from repro.hw.isa import Reg
 from repro.hw.machine import Machine, MachineConfig
+from repro.hw.paging import PTE_R, PTE_X, PageTableBuilder
 
 
 def _machine(n_cores=1, **overrides):
@@ -157,12 +158,177 @@ loop:
     assert core.trace_cache.invalidation_events >= 1
 
 
-def test_core_clean_flushes_trace_cache():
+def test_core_clean_keeps_traces_and_reruns_them():
+    """The SM's core clean flushes L1 and TLB but not the host-side
+    trace cache: a second run reuses the compiled trace."""
     machine = _machine()
     core = _run_at(machine, _LOOP)
+    built = core.trace_cache.built
     assert len(core.trace_cache) > 0
     core.clean_architectural_state()
-    assert len(core.trace_cache) == 0
+    assert len(core.trace_cache) == built
+    core.pc = 0x1000
+    core.halted = False
+    machine.run()
+    assert core.read_reg(Reg.T0) == 500
+    assert core.trace_cache.built == built
+    assert core.trace_cache.instructions > 1800
+
+
+_EVRANGE = (0x400000, 0x10000)
+
+
+def _run_enclave(machine, domain, code_ppn, evrange=_EVRANGE):
+    """Clean the core and run the code at evrange base as ``domain``.
+
+    The code page is mapped (R+X) at the base of ``evrange`` by a fresh
+    enclave page table, as on every enclave entry of a reused eid.
+    """
+    frames = iter(range(0x80, 0x100))
+    tables = PageTableBuilder(machine.memory, lambda: next(frames))
+    tables.map_page(evrange[0], code_ppn, PTE_R | PTE_X)
+    core = machine.cores[0]
+    core.clean_architectural_state()
+    core.domain = domain
+    core.context.paging_enabled = True
+    core.context.enclave_root_ppn = tables.root_ppn
+    core.context.evrange = evrange
+    core.pc = evrange[0]
+    core.halted = False
+    machine.run()
+    return core
+
+
+def _counting_loop(step):
+    return assemble(
+        f"""
+entry:
+    li   t0, 0
+    li   a0, 0
+    li   t1, 100
+loop:
+    addi a0, a0, {step}
+    addi t0, t0, 1
+    bne  t0, t1, loop
+    halt
+""",
+        base=_EVRANGE[0],
+    ).data
+
+
+def test_reused_eid_with_relocated_code_or_new_evrange_gets_a_fresh_trace():
+    """Trace keys are (domain, vaddr) and eids get reused.  A trace
+    whose pages now map elsewhere, or whose evrange changed, must never
+    run again; it is dropped and rebuilt from the current code."""
+    machine = _machine()
+    machine.set_trap_handler(lambda core, trap: setattr(core, "halted", True))
+    eid = 0x9000
+    machine.memory.write(0x10000, _counting_loop(1))
+    machine.memory.write(0x11000, _counting_loop(3))
+    core = _run_enclave(machine, eid, code_ppn=0x10)
+    assert core.read_reg(Reg.A0) == 100
+    key = (eid, _EVRANGE[0] + 3 * 8)
+    assert core.trace_cache.entries[key].page_checks[0][1] == 0x10000
+    # Same eid, same vaddrs, code now in another frame (no write to the
+    # old one, so no write invalidation can help).
+    core = _run_enclave(machine, eid, code_ppn=0x11)
+    assert core.read_reg(Reg.A0) == 300, "stale trace ran relocated code"
+    assert core.trace_cache.entries[key].page_checks[0][1] == 0x11000
+    assert core.trace_cache.instructions > 2 * 250
+    # Same eid and frame, different evrange: rebuilt again.
+    evrange = (_EVRANGE[0], 2 * _EVRANGE[1])
+    built = core.trace_cache.built
+    core = _run_enclave(machine, eid, code_ppn=0x11, evrange=evrange)
+    assert core.read_reg(Reg.A0) == 300
+    assert core.trace_cache.entries[key].evrange == evrange
+    assert core.trace_cache.built == built + 1
+
+
+_NESTED = """
+entry:
+    li   a0, 0
+    li   t2, 0
+    li   t1, 20
+    li   a5, 40
+outer:
+    li   t0, 0
+inner:
+site:
+    addi a0, a0, 3
+    addi t0, t0, 1
+    bne  t0, t1, inner
+    addi t2, t2, 1
+    bne  t2, a5, outer
+    halt
+patch:
+    li   a3, site
+    li   a4, 7
+    sb   a4, 4(a3)
+    halt
+scratch:
+    .bytes 00 00 00 00 00 00 00 00
+"""
+
+
+def test_store_outside_instruction_slots_keeps_decoded_entries_and_traces():
+    """Data stores into a code page that overlap no instruction slot
+    drop no decoded entry and no trace, and abort no running trace."""
+    machine = _machine()
+    core = _run_at(
+        machine,
+        """
+entry:
+    li   t0, 0
+    li   t1, 300
+    li   a3, scratch
+loop:
+    addi t0, t0, 1
+    sw   t0, 0(a3)
+    sb   t0, 5(a3)
+    bne  t0, t1, loop
+    halt
+scratch:
+    .bytes 00 00 00 00 00 00 00 00
+""",
+    )
+    assert core.read_reg(Reg.T0) == 300
+    tcache = core.trace_cache
+    assert tcache.built == 1 and len(tcache) == 1
+    assert tcache.instructions > 1000
+    assert tcache.aborts == 0
+    assert tcache.invalidation_events == 0
+    assert core.decode_cache.invalidation_events == 0
+    assert core.decode_cache.misses == 8  # each instruction decoded once
+
+
+def test_one_byte_store_into_an_instruction_drops_it_and_every_covering_trace():
+    image = assemble(_NESTED, base=0x1000)
+    site, patch = image.symbols["site"], image.symbols["patch"]
+    machine = _machine()
+    core = _run_at(machine, _NESTED)
+    assert core.read_reg(Reg.A0) == 3 * 20 * 40
+    tcache, dcache = core.trace_cache, core.decode_cache
+    covering = {key for key, trace in tcache.entries.items() if site in trace.slots}
+    assert len(covering) == 2  # the inner loop, and the outer head falling into it
+    survivors = set(tcache.entries) - covering
+    assert survivors  # the outer-loop tail
+    decoded = set(dcache.entries)
+    dropped = dcache.entries_dropped
+    # Run the patcher: `sb` rewrites one immediate byte of `site`.
+    core.pc = patch
+    core.halted = False
+    machine.run()
+    assert set(tcache.entries) == survivors
+    assert site not in dcache.entries
+    assert dcache.entries_dropped == dropped + 1
+    assert decoded - {site} <= set(dcache.entries)
+    assert tcache.aborts == 0
+    # The program now sees the new code.
+    core.write_reg(Reg.A0, 0)
+    core.pc = 0x1000
+    core.halted = False
+    machine.run()
+    assert core.read_reg(Reg.A0) == 7 * 20 * 40
 
 
 def test_armed_timer_suppresses_trace_execution():

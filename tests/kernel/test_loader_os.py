@@ -105,6 +105,22 @@ def test_many_load_destroy_cycles(any_system):
         kernel.destroy_enclave(loaded.eid)
 
 
+def test_load_enclave_leaves_no_staging_frame(any_system):
+    """The staging frame every image page passes through is scrubbed
+    once the last page is loaded, so sparse DRAM does not keep it."""
+    kernel = any_system.kernel
+    memory = kernel.machine.memory
+    image = trivial_enclave_image()
+    for _ in range(3):
+        first_frame = kernel._frame_cursor
+        loaded = kernel.load_enclave(image)
+        allocated = set(range(first_frame, kernel._frame_cursor))
+        assert allocated, "the load allocated a staging frame"
+        assert allocated.isdisjoint(memory.touched_frames())
+        events = kernel.enter_and_run(loaded.eid, loaded.tids[0])
+        assert events[0].kind is OsEventKind.ENCLAVE_EXIT
+
+
 def test_concurrent_enclaves(any_system):
     kernel = any_system.kernel
     outs = [kernel.alloc_buffer(1) for _ in range(3)]
