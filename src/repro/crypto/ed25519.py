@@ -3,16 +3,27 @@
 The paper leaves the attestation signature scheme abstract ("SM produces
 an attestation via this signing key", §VI-C); the Keystone
 implementation of Sanctorum concepts uses Ed25519, so we do too.  This
-is a straightforward, readable RFC 8032 implementation over the
-twisted Edwards curve edwards25519, using extended homogeneous
-coordinates for group arithmetic.  RFC 8032 requires SHA-512: the
-runtime path uses the standard library's ``hashlib.sha512``, and a
-from-scratch FIPS 180-4 SHA-512 at the top of this module is kept as
-its reference.
+is a readable RFC 8032 implementation over the twisted Edwards curve
+edwards25519, using extended homogeneous coordinates for group
+arithmetic.  RFC 8032 requires SHA-512: the runtime path uses the
+standard library's ``hashlib.sha512``, and a from-scratch FIPS 180-4
+SHA-512 at the top of this module is kept as its reference.
+
+Scalar multiplication has a fast path and a reference.  The base point
+is multiplied from a table of its radix-16 multiples, built once per
+process (ref10's ``ge_scalarmult_base``; Bernstein et al., "High-speed
+high-security signatures", 2011), and verify's ``[k]A`` uses a 4-bit
+window with dedicated doubling.  Textbook double-and-add
+(:func:`_point_mul`) is kept as their reference.  The table lookups are
+indexed by secret scalar digits, and zero digits are skipped, so host
+time depends on secrets.  Host timing is not a channel this model
+covers: the simulated crypto unit charges a fixed cycle count per
+operation.
 
 Validated against RFC 8032 test vectors in
 ``tests/crypto/test_ed25519.py``, which also checks the two SHA-512s
-against each other.
+against each other; ``tests/crypto/test_curve_kernels.py`` checks the
+fast kernels against the reference.
 """
 
 from __future__ import annotations
@@ -110,18 +121,27 @@ _D = (-121665 * pow(121666, _P - 2, _P)) % _P
 _BASE_Y = (4 * pow(5, _P - 2, _P)) % _P
 
 
+def _inv(z: int) -> int:
+    """Inverse modulo p, mapping 0 to 0 as Fermat's ``z**(p-2)`` does."""
+    z %= _P
+    return pow(z, -1, _P) if z else 0
+
+
+_SQRT_M1 = pow(2, (_P - 1) // 4, _P)
+
+
 def _recover_x(y: int, sign: int) -> int:
     """Recover the x coordinate from y and the sign bit (RFC 8032 §5.1.3)."""
     if y >= _P:
         raise CryptoError("point y coordinate out of range")
-    x2 = (y * y - 1) * pow(_D * y * y + 1, _P - 2, _P) % _P
+    x2 = (y * y - 1) * _inv(_D * y * y + 1) % _P
     if x2 == 0:
         if sign:
             raise CryptoError("invalid point encoding (x=0 with sign bit)")
         return 0
     x = pow(x2, (_P + 3) // 8, _P)
     if (x * x - x2) % _P != 0:
-        x = x * pow(2, (_P - 1) // 4, _P) % _P
+        x = x * _SQRT_M1 % _P
     if (x * x - x2) % _P != 0:
         raise CryptoError("point is not on edwards25519")
     if (x & 1) != sign:
@@ -152,7 +172,11 @@ def _point_add(p: Point, q: Point) -> Point:
 
 
 def _point_mul(scalar: int, point: Point) -> Point:
-    """Scalar multiplication by repeated doubling."""
+    """Scalar multiplication by repeated doubling.
+
+    The readable reference for :func:`_base_mul` and :func:`_window_mul`;
+    only the tests call it.
+    """
     result = _IDENTITY
     addend = point
     while scalar > 0:
@@ -163,6 +187,120 @@ def _point_mul(scalar: int, point: Point) -> Point:
     return result
 
 
+def _point_double(p: Point) -> Point:
+    """Double an edwards25519 point (dbl-2008-hwcd with a = -1): 4M + 4S."""
+    x1, y1, z1, _ = p
+    a = x1 * x1 % _P
+    b = y1 * y1 % _P
+    c = 2 * z1 * z1 % _P
+    e = ((x1 + y1) ** 2 - a - b) % _P
+    g = b - a
+    f = g - c
+    h = -a - b
+    return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
+
+
+# --------------------------------------------------------------------------
+# Fast scalar multiplication (see the module docstring on secret-indexed
+# lookups and host timing)
+# --------------------------------------------------------------------------
+
+
+def _build_base_table() -> tuple[tuple, ...]:
+    """Row ``i`` holds ``[k * 16**i]B`` for ``k = ±1..±8`` in affine Niels
+    form ``(y + x, y - x, 2dxy)``, indexed by the signed digit itself:
+    ``row[k]`` for ``k = 1..8``, ``row[-k]`` (Python's negative index)
+    for the negation, which swaps the first two fields and negates the
+    third.  One batched inversion makes every multiple affine.
+    """
+    points = []
+    row_base = _BASE_POINT
+    for _ in range(64):
+        multiple = row_base
+        points.append(multiple)
+        for _ in range(7):
+            multiple = _point_add(multiple, row_base)
+            points.append(multiple)
+        row_base = _point_double(multiple)
+    # Montgomery's trick: 3 multiplications per point and one inversion.
+    prefix = []
+    acc = 1
+    for point in points:
+        prefix.append(acc)
+        acc = acc * point[2] % _P
+    inverse = _inv(acc)
+    niels = [None] * len(points)
+    for i in reversed(range(len(points))):
+        x, y, z, _ = points[i]
+        zinv = inverse * prefix[i] % _P
+        inverse = inverse * z % _P
+        x, y = x * zinv % _P, y * zinv % _P
+        niels[i] = ((y + x) % _P, (y - x) % _P, 2 * _D * x * y % _P)
+    rows = []
+    for i in range(0, len(niels), 8):
+        positive = niels[i : i + 8]
+        negative = [(ymx, ypx, -xy2d % _P) for ypx, ymx, xy2d in reversed(positive)]
+        rows.append((None, *positive, *negative))
+    return tuple(rows)
+
+
+_BASE_TABLE = _build_base_table()
+
+
+def _base_mul(scalar: int) -> Point:
+    """``[scalar]B`` from :data:`_BASE_TABLE`: 64 mixed additions, no
+    doublings.
+
+    The scalar is recoded into 64 signed radix-16 digits, the first 63
+    in ``[-8, 8)``; the top one is not recentred, and for a scalar
+    below ``2**255`` it ends at most at 8, the table's largest multiple.
+    """
+    if scalar >> 255:
+        scalar %= _L
+    x, y, z, t = _IDENTITY
+    carry = 0
+    for i, row in enumerate(_BASE_TABLE):
+        digit = ((scalar >> (4 * i)) & 15) + carry
+        if i < 63:
+            carry = (digit + 8) >> 4
+            digit -= carry << 4
+        if digit:
+            ypx, ymx, xy2d = row[digit]
+            a = (y + x) * ypx % _P
+            b = (y - x) * ymx % _P
+            c = t * xy2d % _P
+            d = z + z
+            e, f, g, h = a - b, d - c, d + c, a + b
+            x, y, z, t = e * f % _P, g * h % _P, f * g % _P, e * h % _P
+    return (x, y, z, t)
+
+
+def _window_mul(scalar: int, point: Point) -> Point:
+    """``[scalar]point`` with a 4-bit fixed window: four doublings and at
+    most one addition of a cached multiple per nibble."""
+    multiples = [_IDENTITY, point]
+    for _ in range(14):
+        multiples.append(_point_add(multiples[-1], point))
+    # (Y + X, Y - X, 2dT, 2Z) per multiple: the addend side of _point_add.
+    cached = [((y + x) % _P, (y - x) % _P, 2 * _D * t % _P, 2 * z % _P) for x, y, z, t in multiples]
+    shift = max(scalar.bit_length() - 1, 0) & ~3
+    x, y, z, t = multiples[(scalar >> shift) & 15]
+    while shift:
+        shift -= 4
+        for _ in range(4):
+            x, y, z, t = _point_double((x, y, z, t))
+        digit = (scalar >> shift) & 15
+        if digit:
+            ypx, ymx, t2d, z2 = cached[digit]
+            a = (y + x) * ypx % _P
+            b = (y - x) * ymx % _P
+            c = t * t2d % _P
+            d = z * z2 % _P
+            e, f, g, h = a - b, d - c, d + c, a + b
+            x, y, z, t = e * f % _P, g * h % _P, f * g % _P, e * h % _P
+    return (x, y, z, t)
+
+
 def _point_equal(p: Point, q: Point) -> bool:
     x1, y1, z1, _ = p
     x2, y2, z2, _ = q
@@ -171,7 +309,7 @@ def _point_equal(p: Point, q: Point) -> bool:
 
 def _point_compress(point: Point) -> bytes:
     x, y, z, _ = point
-    zinv = pow(z, _P - 2, _P)
+    zinv = _inv(z)
     x, y = x * zinv % _P, y * zinv % _P
     return (y | ((x & 1) << 255)).to_bytes(32, "little")
 
@@ -199,7 +337,7 @@ def _secret_expand(secret: bytes) -> tuple[int, bytes]:
 def ed25519_public_key(secret: bytes) -> bytes:
     """Derive the 32-byte public key from a 32-byte secret key."""
     a, _ = _secret_expand(secret)
-    return _point_compress(_point_mul(a, _BASE_POINT))
+    return _point_compress(_base_mul(a))
 
 
 def ed25519_generate_keypair(entropy: bytes) -> tuple[bytes, bytes]:
@@ -212,9 +350,9 @@ def ed25519_generate_keypair(entropy: bytes) -> tuple[bytes, bytes]:
 def ed25519_sign(secret: bytes, message: bytes) -> bytes:
     """Sign ``message``; returns the 64-byte signature (RFC 8032 §5.1.6)."""
     a, prefix = _secret_expand(secret)
-    public = _point_compress(_point_mul(a, _BASE_POINT))
+    public = _point_compress(_base_mul(a))
     r = int.from_bytes(sha512(prefix + message), "little") % _L
-    r_point = _point_compress(_point_mul(r, _BASE_POINT))
+    r_point = _point_compress(_base_mul(r))
     k = int.from_bytes(sha512(r_point + public + message), "little") % _L
     s = (r + k * a) % _L
     return r_point + s.to_bytes(32, "little")
@@ -233,6 +371,6 @@ def ed25519_verify(public: bytes, message: bytes, signature: bytes) -> bool:
     if s >= _L:
         return False
     k = int.from_bytes(sha512(signature[:32] + public + message), "little") % _L
-    lhs = _point_mul(s, _BASE_POINT)
-    rhs = _point_add(r_point, _point_mul(k, a_point))
+    lhs = _base_mul(s)
+    rhs = _point_add(r_point, _window_mul(k, a_point))
     return _point_equal(lhs, rhs)

@@ -5,12 +5,21 @@ key for encrypted communication without trust in the system software or
 network."  We use X25519 — the Montgomery-ladder scalar multiplication
 on Curve25519 — as that key-agreement scheme.
 
+Variable-base multiplication runs the ladder.  The fixed base point
+(u = 9) is instead multiplied on edwards25519 with Ed25519's precomputed
+table and mapped to u (RFC 7748 §4.1); the ladder is its reference.
+Table lookups are indexed by the secret scalar, so host time depends on
+it.  The simulated crypto unit charges fixed cycles, and host timing is
+not a modelled channel.
+
 Validated against RFC 7748 test vectors in
-``tests/crypto/test_x25519.py``.
+``tests/crypto/test_x25519.py`` and, for the base point, against the
+ladder in ``tests/crypto/test_curve_kernels.py``.
 """
 
 from __future__ import annotations
 
+from repro.crypto.ed25519 import _base_mul, _inv
 from repro.errors import CryptoError
 
 _P = 2**255 - 19
@@ -67,7 +76,7 @@ def _ladder(k: int, u: int) -> int:
     if swap:
         x2, x3 = x3, x2
         z2, z3 = z3, z2
-    return x2 * pow(z2, _P - 2, _P) % _P
+    return x2 * _inv(z2) % _P
 
 
 def x25519(scalar: bytes, u_coordinate: bytes) -> bytes:
@@ -85,10 +94,22 @@ def x25519(scalar: bytes, u_coordinate: bytes) -> bytes:
     return out
 
 
+def _base_u(k: int) -> int:
+    """The u-coordinate of ``[k]`` base point, from the edwards25519 table.
+
+    Curve25519's base point (u = 9) is the image of edwards25519's B
+    under the birational map u = (1 + y) / (1 - y) (RFC 7748 §4.1), so
+    ``[k]B`` from the precomputed table maps to the ladder's result:
+    u = (Z + Y) / (Z - Y).  The identity (Z = Y) inverts 0 and gives 0,
+    as the ladder does.  ``_ladder(k, 9)`` is its reference.
+    """
+    _, y, z, _ = _base_mul(k)
+    return (z + y) * _inv(z - y) % _P
+
+
 def x25519_base(scalar: bytes) -> bytes:
     """Compute scalar * base-point (u = 9): the public key of ``scalar``."""
-    k = _decode_scalar(scalar)
-    return _ladder(k, _BASE_U).to_bytes(32, "little")
+    return _base_u(_decode_scalar(scalar)).to_bytes(32, "little")
 
 
 def x25519_generate_keypair(entropy: bytes) -> tuple[bytes, bytes]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.hw.cache import Cache
+from repro.hw.cache import LINE_SIZE, Cache
 from repro.hw.isa import INSTRUCTION_SIZE, NUM_REGS, Opcode, decode
 from repro.hw.memory import PAGE_SHIFT
 from repro.hw.paging import AccessType, PageFault, PageTableWalker, Translation
@@ -1200,14 +1200,84 @@ class Core:
     # Crypto accelerator (Opcode.CRYPTO)
     # ------------------------------------------------------------------
 
+    def _transfer(self, vaddr: int, length: int, access: AccessType) -> list[tuple[int, int]]:
+        """Translate, check and time a crypto-unit operand; moves no byte.
+
+        Returns the operand as ``(paddr, size)`` chunks, one per part of
+        a cache line (a line never crosses a page, nor does an evrange
+        boundary, so one translation serves the chunk).  Every byte is
+        charged exactly as a 1-byte load or store of it would be: the
+        chunk's first byte goes through :meth:`translate` and
+        :meth:`_checked_physical`; each later byte passes its own
+        isolation check and costs a TLB hit (with paging on: the first
+        translation left the page resident) and an L1 hit on the line
+        the first byte brought in.  A fault is raised at the first
+        failing byte, with the bytes before it charged.
+        """
+        check = self.machine.check_isolation
+        check_range = self.machine.memory.check_range
+        paging = self.context.paging_enabled
+        chunks = []
+        while length > 0:
+            vaddr = to_unsigned32(vaddr)
+            size = min(length, LINE_SIZE - (vaddr & (LINE_SIZE - 1)))
+            paddr = self.translate(vaddr, access)
+            self._checked_physical(paddr, access)
+            # Before any byte moves: a huge length that isolation lets
+            # through (M-mode) stops at the end of DRAM, not at 4 GiB.
+            check_range(paddr, size)
+            denied = next(
+                (i for i in range(1, size) if not check(self, paddr + i, access)), None
+            )
+            later = size - 1 if denied is None else denied - 1
+            if paging:
+                self.tlb.hits += later + (denied is not None)
+            if later:
+                self.l1.stats.hits += later
+                self.l1.stats.last_was_hit = True
+                self.cycles += later * self.l1.hit_cycles
+            if denied is not None:
+                raise Trap(_ACCESS_TO_ACCESS_FAULT[access], tval=paddr + denied, pc=self.pc)
+            chunks.append((paddr, size))
+            vaddr += size
+            length -= size
+        return chunks
+
+    def _commit(self, chunks: list[tuple[int, int]], data: bytes) -> None:
+        """Write ``data`` over the chunks :meth:`_transfer` returned.
+
+        A chunk on a page holding cached code is written one instruction
+        slot at a time, so the decode and trace caches count the same
+        invalidation events as byte-by-byte stores would.
+        """
+        write = self.machine.memory.write
+        cores = self.machine.cores
+        start = 0
+        for paddr, size in chunks:
+            ppn = paddr >> PAGE_SHIFT
+            if size > 1 and any(
+                ppn in core.decode_cache.pages or ppn in core.trace_cache.pages
+                for core in cores
+            ):
+                end = paddr + size
+                while paddr < end:
+                    step = min(end, (paddr | (INSTRUCTION_SIZE - 1)) + 1) - paddr
+                    write(paddr, data[start : start + step])
+                    paddr += step
+                    start += step
+            else:
+                write(paddr, data[start : start + size])
+                start += size
+
     def read_buffer(self, vaddr: int, length: int) -> bytes:
         """Read ``length`` bytes through the translated access path."""
-        return bytes(self.load(vaddr + i, 1) for i in range(length))
+        read = self.machine.memory.read
+        chunks = self._transfer(vaddr, length, AccessType.LOAD)
+        return b"".join(read(paddr, size) for paddr, size in chunks)
 
     def write_buffer(self, vaddr: int, data: bytes) -> None:
-        """Write bytes through the translated access path."""
-        for i, value in enumerate(data):
-            self.store(vaddr + i, value, 1)
+        """Write bytes through the translated access path; a fault writes none."""
+        self._commit(self._transfer(vaddr, len(data), AccessType.STORE), data)
 
     def _execute_crypto(self, function: int) -> None:
         """Execute one crypto-accelerator operation.
@@ -1252,7 +1322,9 @@ class Core:
                 self.write_buffer(a3, x25519(scalar, point))
                 self.cycles += 30_000
             elif fn is CryptoFn.RANDOM:
-                self.write_buffer(a1, self.machine.trng.read(a2))
+                # Draw from the TRNG only once the destination is known good.
+                chunks = self._transfer(a1, a2, AccessType.STORE)
+                self._commit(chunks, self.machine.trng.read(a2))
                 self.cycles += 10 * a2
         except CryptoError:
             # Bad key/point material is the program's bug, reported the

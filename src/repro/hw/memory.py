@@ -48,7 +48,8 @@ class PhysicalMemory:
             self._frames[frame_number] = frame
         return frame
 
-    def _check_range(self, paddr: int, length: int) -> None:
+    def check_range(self, paddr: int, length: int) -> None:
+        """Raise :class:`HardwareError` unless ``[paddr, paddr + length)`` is DRAM."""
         if paddr < 0 or length < 0 or paddr + length > self.size:
             raise HardwareError(
                 f"physical access [{paddr:#x}, {paddr + length:#x}) outside "
@@ -57,7 +58,7 @@ class PhysicalMemory:
 
     def read(self, paddr: int, length: int) -> bytes:
         """Read ``length`` bytes starting at ``paddr``."""
-        self._check_range(paddr, length)
+        self.check_range(paddr, length)
         out = bytearray()
         while length > 0:
             frame_number, offset = divmod(paddr, PAGE_SIZE)
@@ -73,7 +74,7 @@ class PhysicalMemory:
 
     def write(self, paddr: int, data: bytes) -> None:
         """Write ``data`` starting at ``paddr``."""
-        self._check_range(paddr, len(data))
+        self.check_range(paddr, len(data))
         if self._write_observer is not None and data:
             self._write_observer(paddr, len(data))
         offset_in_data = 0
@@ -106,7 +107,7 @@ class PhysicalMemory:
 
     def zero_range(self, paddr: int, length: int) -> None:
         """Zero ``length`` bytes — the SM's resource-cleaning primitive."""
-        self._check_range(paddr, length)
+        self.check_range(paddr, length)
         if self._write_observer is not None and length:
             self._write_observer(paddr, length)
         while length > 0:

@@ -41,6 +41,12 @@ class PmpPerm(enum.IntFlag):
     RWX = R | W | X
 
 
+#: Mode values index a list of this length.
+_MODES = max(Privilege) + 1
+#: ``_COVERS[granted][perm]``: whether ``granted`` has every bit of ``perm``.
+_COVERS = tuple(tuple(granted & perm == perm for perm in range(8)) for granted in range(8))
+
+
 @dataclasses.dataclass(frozen=True)
 class PmpEntry:
     """One PMP entry: a physical interval with per-mode permissions.
@@ -54,13 +60,25 @@ class PmpEntry:
     size: int
     perms: dict[Privilege, PmpPerm]
     label: str = ""
+    #: :meth:`allows` precomputed as ``_decisions[privilege][perm]`` for
+    #: every mode value and permission mask: ``IntFlag`` arithmetic
+    #: builds a new enum member per operation, and the check runs on
+    #: every access a Keystone core makes.
+    _decisions: tuple[tuple[bool, ...], ...] = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        granted = [PmpPerm.NONE] * _MODES
+        for mode, perm in self.perms.items():
+            granted[mode] = perm
+        object.__setattr__(self, "_decisions", tuple(_COVERS[perm] for perm in granted))
 
     def matches(self, paddr: int) -> bool:
         return self.base <= paddr < self.base + self.size
 
     def allows(self, privilege: Privilege, perm: PmpPerm) -> bool:
-        granted = self.perms.get(privilege, PmpPerm.NONE)
-        return (granted & perm) == perm
+        return self._decisions[privilege][perm]
 
 
 class PmpUnit:

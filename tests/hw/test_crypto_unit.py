@@ -6,6 +6,8 @@ math behind a fetch/execute boundary, and its operands travel through
 the translated, isolation-checked access path.
 """
 
+import time
+
 import pytest
 
 from repro.crypto.ed25519 import ed25519_public_key, ed25519_sign, ed25519_verify
@@ -143,6 +145,33 @@ def test_crypto_operands_respect_isolation(any_system):
     assert events and events[0].kind is OsEventKind.FAULT
     assert events[0].cause is TrapCause.ACCESS_FAULT_LOAD
     assert kernel.read_shared(out, 64) == bytes(64)
+
+
+@pytest.mark.parametrize("length", [64, -1], ids=["64", "0xFFFFFFFF"])
+def test_random_fault_is_precise_and_draws_nothing(any_system, length):
+    """RANDOM into a destination whose tail is another domain's memory
+    traps with nothing written and no entropy drawn, however large the
+    request: the destination is checked before the TRNG is read."""
+    kernel = any_system.kernel
+    from tests.conftest import trivial_enclave_image
+
+    loaded = kernel.load_enclave(trivial_enclave_image())
+    start = loaded.region_base - 16
+    before = kernel.read_shared(start, 16)
+    trng = any_system.machine.trng
+    state = trng._state
+    source = f"""
+    li   a1, {start}
+    li   a2, {length}
+    crypto {int(CryptoFn.RANDOM)}
+    halt
+"""
+    began = time.perf_counter()
+    __, events = kernel.run_user_program(source)
+    assert time.perf_counter() - began < 1.0
+    assert events and events[0].cause is TrapCause.ACCESS_FAULT_STORE
+    assert kernel.read_shared(start, 16) == before
+    assert trng._state == state
 
 
 def test_misaligned_pc_traps(any_system):

@@ -132,3 +132,32 @@ class TestDefaultDecision:
         assert not pmp.check(0, Privilege.M, PmpPerm.R)
         pmp.set_entry(0, entry(0, PAGE, {Privilege.M: PmpPerm.RWX}))
         assert pmp.check(0, Privilege.M, PmpPerm.R)
+
+
+def _intflag_allows(entry, privilege, perm):
+    """``PmpEntry.allows`` as it was before its decisions were
+    precomputed: ``IntFlag`` arithmetic on the perm map."""
+    granted = entry.perms.get(privilege, PmpPerm.NONE)
+    return (granted & perm) == perm
+
+
+def test_precomputed_decisions_match_intflag_arithmetic():
+    """Every privilege x requested perm x granted perm (or no grant), on
+    entries granting one or two modes, decides as the old arithmetic."""
+    perms = [PmpPerm(value) for value in range(8)]
+    grants = [None, *perms]
+    for mode in Privilege:
+        for other in Privilege:
+            for granted in grants:
+                for other_granted in grants:
+                    perm_map = {}
+                    if granted is not None:
+                        perm_map[mode] = granted
+                    if other is not mode and other_granted is not None:
+                        perm_map[other] = other_granted
+                    e = entry(0, PAGE, perm_map)
+                    for privilege in Privilege:
+                        for perm in perms:
+                            assert e.allows(privilege, perm) == _intflag_allows(
+                                e, privilege, perm
+                            ), (perm_map, privilege, perm)
